@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.exp._
 
-/** Shared spark-submit bootstrap for the table jobs. */
+/** The one SparkSession factory, shared by the table job and the tests. */
 object Jobs {
   def session(app: String): SparkSession =
     SparkSession.builder
@@ -15,47 +15,28 @@ object Jobs {
       .getOrCreate()
 }
 
-/** spark-submit --class repro.jobs.TableII <jar> — dataset statistics. */
-object TableIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table2")
-    println(TableII.render(TableII.run(spark)))
-    spark.stop()
-  }
-}
+/** spark-submit --class repro.jobs.TableJob <jar> II|III|IV|V|VI — runs one
+  * evaluation table and prints it: II dataset statistics, III method
+  * comparison, IV ablation study, V LLM comparison, VI clustering methods.
+  */
+object TableJob {
 
-/** spark-submit --class repro.jobs.TableIIIJob <jar> — method comparison. */
-object TableIIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table3")
-    println(TableIII.render(TableIII.run(spark)))
-    spark.stop()
-  }
-}
+  private val tables: Seq[(String, SparkSession => String)] = Seq(
+    "II"  -> (s => TableII.render(TableII.run(s))),
+    "III" -> (s => TableIII.render(TableIII.run(s))),
+    "IV"  -> (s => TableIV.render(TableIV.run(s))),
+    "V"   -> (s => TableV.render(TableV.run(s))),
+    "VI"  -> (s => TableVI.render(TableVI.run(s))),
+  )
 
-/** spark-submit --class repro.jobs.TableIVJob <jar> — ablation study. */
-object TableIVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table4")
-    println(TableIV.render(TableIV.run(spark)))
-    spark.stop()
-  }
-}
-
-/** spark-submit --class repro.jobs.TableVJob <jar> — LLM comparison. */
-object TableVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table5")
-    println(TableV.render(TableV.run(spark)))
-    spark.stop()
-  }
-}
-
-/** spark-submit --class repro.jobs.TableVIJob <jar> — clustering methods. */
-object TableVIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table6")
-    println(TableVI.render(TableVI.run(spark)))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    tables.collectFirst { case (name, render) if args.sameElements(Seq(name)) => render } match {
+      case Some(render) =>
+        val spark = Jobs.session(s"zeroed-table${args(0)}")
+        println(render(spark))
+        spark.stop()
+      case None =>
+        System.err.println(s"usage: repro.jobs.TableJob ${tables.map(_._1).mkString("|")}")
+        sys.exit(2)
+    }
 }

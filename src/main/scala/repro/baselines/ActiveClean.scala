@@ -5,7 +5,7 @@ import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.Patterns
-import repro.data.{CellTable, EDataset}
+import repro.data.{CellStats, CellTable, EDataset}
 import repro.util.Rng
 
 /** ActiveClean [48]: detection through a downstream convex model over simple
@@ -20,27 +20,18 @@ object ActiveClean {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
-    val cells = CellTable.cells(ds.dirty, ds.attrs).cache()
-    val n = ds.dirty.count().toDouble
-
-    val valCounts = cells.groupBy("attr", "value").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, v, c) => (a, v) -> c }.toMap
-    val l2u = udf((v: String) => Patterns.l2(v))
-    val patCounts = cells.select($"attr", l2u($"value").as("p"))
-      .groupBy("attr", "p").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, p, c) => (a, p) -> c }.toMap
+    val cells = CellTable.cells(ds.dirty, ds.attrs)
+    val CellStats(nTuples, valCounts, patCounts) = CellTable.stats(ds.dirty, ds.attrs)
+    val n = nTuples.toDouble
 
     val featUdf = udf { (attr: String, v: String) =>
       Vectors.dense(
         valCounts.getOrElse((attr, v), 0L) / n,
-        patCounts.getOrElse((attr, Patterns.l2(v)), 0L) / n,
+        patCounts.getOrElse((attr, 2, Patterns.l2(v)), 0L) / n,
         math.min(1.0, v.length / 20.0),
         if (v.isEmpty) 1.0 else 0.0): Vector
     }
     val feats = cells.select($"tid", $"attr", featUdf($"attr", $"value").as("features"))
-      .cache()
 
     // Two manually labeled tuples (ground truth on those cells only).
     val tids = (0 until LabeledTuples).map(i => Rng.int(n.toInt, ds.name, "acLab", i).toLong)
@@ -65,7 +56,6 @@ object ActiveClean {
         val m = lr.fit(train)
         m.transform(feats).select($"tid", $"attr", ($"prediction" === 1.0).as("pred"))
       }
-    cells.unpersist()
     pred
   }
 }

@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{LocalKMeans, Patterns}
-import repro.data.{CellTable, EDataset}
+import repro.data.{CellStats, CellTable, EDataset}
 import repro.llm.Criteria
 import repro.util.Rng
 
@@ -21,17 +21,8 @@ object Raha {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
-    val cells = CellTable.cells(ds.dirty, ds.attrs).cache()
-    val n = ds.dirty.count().toDouble
-
-    val valCounts = cells.groupBy("attr", "value").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, v, c) => (a, v) -> c }.toMap
-    val l2u = udf((v: String) => Patterns.l2(v))
-    val patCounts = cells.select($"attr", l2u($"value").as("p"))
-      .groupBy("attr", "p").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, p, c) => (a, p) -> c }.toMap
+    val CellStats(nTuples, valCounts, patCounts) = CellTable.stats(ds.dirty, ds.attrs)
+    val n = nTuples.toDouble
 
     // FD-violation strategy (shared with Nadeef's constraint set).
     val fdFlagged: Set[(Long, String)] = ds.spec.fds.flatMap { fd =>
@@ -45,7 +36,7 @@ object Raha {
     val numericAttrs = ds.spec.numericAttrs
     def battery(tid: Long, attr: String, v: String): Array[Double] = Array(
       if (v.isEmpty) 1.0 else 0.0,
-      if (patCounts.getOrElse((attr, Patterns.l2(v)), 0L) / n < 0.02) 1.0 else 0.0,
+      if (patCounts.getOrElse((attr, 2, Patterns.l2(v)), 0L) / n < 0.02) 1.0 else 0.0,
       if (valCounts.getOrElse((attr, v), 0L) / n < 0.01) 1.0 else 0.0,
       if (numericAttrs.contains(attr) && Criteria.parseNumber(v).isEmpty) 1.0 else 0.0,
       if (fdFlagged.contains((tid, attr))) 1.0 else 0.0,
@@ -59,7 +50,7 @@ object Raha {
       .select($"tid", $"attr", $"is_error").as[(Long, String, Boolean)]
       .collect().map { case (t, a, e) => (t, a) -> e }.toMap
 
-    val collected = cells.select($"tid", $"attr", $"value")
+    val collected = CellTable.cells(ds.dirty, ds.attrs)
       .as[(Long, String, String)].collect().groupBy(_._2)
 
     // Strategy-profile propagation across attributes: a labeled erroneous
@@ -94,7 +85,6 @@ object Raha {
         }
       }
     }
-    cells.unpersist()
     preds.toDF("tid", "attr", "pred")
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.data.EDataset
+import repro.data.{CellStats, CellTable, EDataset}
 import repro.llm.{AttrDist, Criteria, Criterion, LLMProfile, SimLLM}
 import repro.util.{Rng, TokenMeter}
 
@@ -13,7 +13,6 @@ final case class FeatureOpts(
     corrK: Int = 2,
     useCriteria: Boolean = true,
     useCorr: Boolean = true,
-    criteriaSampleSize: Int = 40,
 )
 
 /** The fitted per-dataset feature statistics (Section III-B), computed with
@@ -115,6 +114,9 @@ final class FeatureModel(
 
 object FeatureModel {
 
+  /** Tuples shown to the LLM when it reasons the initial criteria. */
+  val CriteriaSampleSize = 40
+
   /** Fit all statistics with Spark aggregations and reason the initial
     * criteria from a random tuple sample (metered LLM calls).
     */
@@ -122,24 +124,7 @@ object FeatureModel {
           profile: LLMProfile, meter: TokenMeter, opts: FeatureOpts): FeatureModel = {
     import spark.implicits._
     val attrs = ds.attrs
-    val cells = repro.data.CellTable.cells(ds.dirty, attrs).cache()
-    val n = ds.dirty.count()
-
-    val valueCounts = cells.groupBy("attr", "value").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, v, c) => (a, v) -> c }.toMap
-
-    val l1u = udf((v: String) => Patterns.l1(v))
-    val l2u = udf((v: String) => Patterns.l2(v))
-    val l3u = udf((v: String) => Patterns.l3(v))
-    val patCounts = cells.select($"attr", explode(array(
-        struct(lit(1).as("lvl"), l1u($"value").as("pat")),
-        struct(lit(2).as("lvl"), l2u($"value").as("pat")),
-        struct(lit(3).as("lvl"), l3u($"value").as("pat")))).as("lp"))
-      .select($"attr", $"lp.lvl".as("lvl"), $"lp.pat".as("pat"))
-      .groupBy("attr", "lvl", "pat").count()
-      .as[(String, Int, String, Long)].collect()
-      .map { case (a, l, p, c) => (a, l, p) -> c }.toMap
+    val CellStats(n, valueCounts, patCounts) = CellTable.stats(ds.dirty, attrs)
 
     // Co-occurrence counts only for the (attr, correlated attr) pairs the
     // vicinity feature reads.
@@ -172,7 +157,7 @@ object FeatureModel {
     }.toMap
 
     // Criteria reasoning from a deterministic random tuple sample.
-    val sampleRows = sampleTuples(ds, opts.criteriaSampleSize)
+    val sampleRows = sampleTuples(ds, CriteriaSampleSize)
     val criteria: Map[String, Seq[Criterion]] =
       if (!opts.useCriteria) Map.empty
       else attrs.map { a =>
@@ -181,7 +166,6 @@ object FeatureModel {
                                    corr.getOrElse(a, Seq.empty).take(opts.corrK))
       }.toMap
 
-    cells.unpersist()
     new FeatureModel(ds.name, attrs, corr, valueCounts, patCounts, coCounts,
                      criteria, dists, n, opts)
   }
@@ -192,7 +176,7 @@ object FeatureModel {
     val frac = math.min(1.0, size * 3.0 / math.max(1L, n))
     val dsName = ds.name
     val keep = udf((tid: Long) => Rng.bool(frac, dsName, "critSample", tid))
-    val rows = ds.dirty.where(keep(col("tid"))).limit(size).collect()
+    val rows = ds.dirty.where(keep(col("tid"))).orderBy("tid").limit(size).collect()
     rows.toSeq.map(r => ds.attrs.map(a => a -> r.getAs[String](a)).toMap)
   }
 

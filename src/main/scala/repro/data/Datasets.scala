@@ -53,9 +53,9 @@ object Datasets {
 
     val clean = wide.select(col("tid") +: attrs.map(a => col(s"c_$a").as(a)): _*)
     val dirty = wide.select(col("tid") +: attrs.map(a => col(s"d_$a").as(a)): _*)
-    val stackArgs = attrs.map(a => s"'$a', e_$a").mkString(", ")
-    val mask = wide
-      .selectExpr("tid", s"stack(${attrs.size}, $stackArgs) as (attr, err_type)")
+    val mask = CellTable.cells(
+        wide.select(col("tid") +: attrs.map(a => col(s"e_$a").as(a)): _*), attrs)
+      .withColumnRenamed("value", "err_type")
       .withColumn("is_error", col("err_type") =!= lit(""))
     EDataset(spec, dirty, clean, mask)
   }

@@ -39,6 +39,26 @@ class FeaturesSpec extends SparkSpec {
     assert(model.valueCounts == fromDf)
   }
 
+  test("CellTable.stats equals the per-level Spark aggregation") {
+    val s = spark; import s.implicits._
+    val l1u = udf((v: String) => Patterns.l1(v))
+    val l2u = udf((v: String) => Patterns.l2(v))
+    val l3u = udf((v: String) => Patterns.l3(v))
+    val cells = CellTable.cells(ds.dirty, ds.attrs)
+    val reference = cells.select($"attr", explode(array(
+        struct(lit(1).as("lvl"), l1u($"value").as("pat")),
+        struct(lit(2).as("lvl"), l2u($"value").as("pat")),
+        struct(lit(3).as("lvl"), l3u($"value").as("pat")))).as("lp"))
+      .select($"attr", $"lp.lvl".as("lvl"), $"lp.pat".as("pat"))
+      .groupBy("attr", "lvl", "pat").count()
+      .as[(String, Int, String, Long)].collect()
+      .map { case (a, l, p, c) => (a, l, p) -> c }.toMap
+    val stats = CellTable.stats(ds.dirty, ds.attrs)
+    assert(stats.patCounts == reference)
+    assert(stats.valueCounts == model.valueCounts)
+    assert(stats.n == ds.dirty.count())
+  }
+
   test("pattern frequency reflects the dominant format") {
     // clean zips are 5 digits: the D[5] pattern dominates
     assert(model.patternFreq("zip", 2, "12345") > 0.8)
@@ -129,5 +149,10 @@ class FeaturesSpec extends SparkSpec {
     val s = FeatureModel.sampleTuples(ds, 10)
     assert(s.nonEmpty && s.size <= 10)
     s.foreach(m => assert(m.keySet == ds.attrs.toSet))
+  }
+
+  test("sampleTuples does not depend on partitioning") {
+    val repartitioned = ds.copy(dirty = ds.dirty.repartition(7))
+    assert(FeatureModel.sampleTuples(repartitioned, 10) == FeatureModel.sampleTuples(ds, 10))
   }
 }

@@ -39,7 +39,14 @@ class ZeroEDSpec extends SparkSpec {
   test("token accounting is populated and result is deterministic-ish") {
     val r = ZeroED.run(spark, ds)
     assert(r.inputTokens > 0 && r.outputTokens > 0)
-    val r2 = ZeroED.run(spark, ds)
+    val r2 = ZeroED.run(spark, ds, byType = true)
     assert(r.metrics == r2.metrics, s"${r.metrics} vs ${r2.metrics}")
+
+    val typeCounts = ds.mask.groupBy("err_type").count().collect()
+      .map(row => row.getString(0) -> row.getLong(1)).toMap
+    assert(r2.byType.keySet == typeCounts.keySet - "")
+    r2.byType.foreach { case (t, p) =>
+      assert(p.tp + p.fp + p.fn + p.tn == typeCounts("") + typeCounts(t), t)
+    }
   }
 }

@@ -20,9 +20,14 @@ class CellTableSpec extends SparkSpec {
     ds.attrs.foreach(a => assert(cells(a) == row.getAs[String](a)))
   }
 
-  test("cellCount matches") {
-    assert(CellTable.cellCount(ds.dirty, ds.attrs) ==
-           ds.dirty.count() * ds.attrs.size)
+  test("cells quotes attribute names containing quotes and backticks") {
+    val s = spark; import s.implicits._
+    val name = "owner's `name`"
+    val df = Seq((0L, "ann", "x"), (1L, "bob", "y")).toDF("tid", name, "other")
+    val got = CellTable.cells(df, Seq(name, "other"))
+      .as[(Long, String, String)].collect().toSet
+    assert(got == Set((0L, name, "ann"), (0L, "other", "x"),
+                      (1L, name, "bob"), (1L, "other", "y")))
   }
 
   test("oracle: melted value frequencies match DuckDB unpivot") {

@@ -21,7 +21,7 @@ object ActiveClean {
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
     val cells = CellTable.cells(ds.dirty, ds.attrs)
-    val CellStats(nTuples, valCounts, patCounts) = CellTable.stats(ds.dirty, ds.attrs)
+    val CellStats(nTuples, valCounts, patCounts, _) = CellTable.stats(ds.dirty, ds.attrs)
     val n = nTuples.toDouble
 
     val featUdf = udf { (attr: String, v: String) =>

@@ -24,7 +24,7 @@ object DBoost {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
-    val CellStats(nTuples, valCounts, patCounts) = CellTable.stats(ds.dirty, ds.attrs)
+    val CellStats(nTuples, valCounts, patCounts, _) = CellTable.stats(ds.dirty, ds.attrs)
     val n = nTuples.toDouble
     val distinctPerAttr = valCounts.keys.groupBy(_._1).view.mapValues(_.size).toMap
 

@@ -21,7 +21,7 @@ object Raha {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
-    val CellStats(nTuples, valCounts, patCounts) = CellTable.stats(ds.dirty, ds.attrs)
+    val CellStats(nTuples, valCounts, patCounts, _) = CellTable.stats(ds.dirty, ds.attrs)
     val n = nTuples.toDouble
 
     // FD-violation strategy (shared with Nadeef's constraint set).
@@ -59,8 +59,8 @@ object Raha {
     // in-cluster propagation. Non-firing signatures stay clean.
     val errSignatures: Set[Seq[Double]] = truth.collect {
       case ((t, a), true) =>
-        ds.dirty.where($"tid" === t).collect().headOption
-          .map(r => battery(t, a, r.getAs[String](a)).toSeq)
+        collected.getOrElse(a, Array.empty).find(_._1 == t)
+          .map { case (_, _, v) => battery(t, a, v).toSeq }
     }.flatten.filter(_.exists(_ > 0)).toSet
 
     val preds = ds.attrs.flatMap { a =>

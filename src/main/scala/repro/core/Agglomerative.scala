@@ -23,44 +23,38 @@ object Agglomerative {
     val m = sub.length
     val kEff = math.min(kk, m)
 
-    // cluster membership over the subsample
-    val members = Array.tabulate(m)(i => scala.collection.mutable.ArrayBuffer(i))
+    // ids of the clusters not yet merged away; cluster i starts as point i
     val active = scala.collection.mutable.ArrayBuffer.tabulate(m)(identity)
     // pairwise average-linkage distances via centroid sums (average linkage
-    // approximated by centroid distance — the common scalable variant)
+    // approximated by centroid distance — the common scalable variant); each
+    // cluster's centroid is kept and recomputed only when it absorbs another
     val sums = sub.map(_.clone())
     val cnts = Array.fill(m)(1)
-
-    def centroid(c: Int): Array[Double] = {
-      val v = new Array[Double](sums(c).length)
-      var d = 0
-      while (d < v.length) { v(d) = sums(c)(d) / cnts(c); d += 1 }
-      v
-    }
+    val cents = sub.map(_.clone())
 
     while (active.length > kEff) {
       // find the closest active pair by centroid distance
       var bi = 0; var bj = 1; var bd = Double.MaxValue
       var i = 0
       while (i < active.length) {
-        val ci = centroid(active(i))
+        val ci = cents(active(i))
         var j = i + 1
         while (j < active.length) {
-          val d = LocalKMeans.sqDist(ci, centroid(active(j)))
+          val d = LocalKMeans.sqDist(ci, cents(active(j)))
           if (d < bd) { bd = d; bi = i; bj = j }
           j += 1
         }
         i += 1
       }
       val a = active(bi); val b = active(bj)
-      members(a) ++= members(b)
       var d = 0
       while (d < sums(a).length) { sums(a)(d) += sums(b)(d); d += 1 }
       cnts(a) += cnts(b)
+      cents(a) = sums(a).map(_ / cnts(a))
       active.remove(bj)
     }
 
-    val centroids = active.toArray.map(centroid)
+    val centroids = active.toArray.map(cents)
     val assignments = Array.tabulate(n)(i => LocalKMeans.nearest(points(i), centroids))
     LocalKMeans.Result(assignments, centroids)
   }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
@@ -25,12 +24,9 @@ final class FeatureModel(
     val dsName: String,
     val attrs: IndexedSeq[String],
     val corr: Map[String, Seq[String]],
-    val valueCounts: Map[(String, String), Long],
-    val patCounts: Map[(String, Int, String), Long],
-    val coCounts: Map[(String, String, String, String), Long],
+    val stats: CellStats,
     val criteria: Map[String, Seq[Criterion]],
     val dists: Map[String, AttrDist],
-    val n: Long,
     val opts: FeatureOpts,
 ) extends Serializable {
 
@@ -39,13 +35,13 @@ final class FeatureModel(
   val totalDim: Int = baseDim * (1 + corrBlocks)
 
   def valueFreq(attr: String, v: String): Double =
-    valueCounts.getOrElse((attr, v), 0L).toDouble / n
+    stats.valueCounts.getOrElse((attr, v), 0L).toDouble / stats.n
 
   def patternFreq(attr: String, level: Int, v: String): Double = {
     val p = level match {
       case 1 => Patterns.l1(v); case 2 => Patterns.l2(v); case _ => Patterns.l3(v)
     }
-    patCounts.getOrElse((attr, level, p), 0L).toDouble / n
+    stats.patCounts.getOrElse((attr, level, p), 0L).toDouble / stats.n
   }
 
   /** Mean conditional frequency of `v` given the tuple's correlated values. */
@@ -55,9 +51,9 @@ final class FeatureModel(
     else {
       val fs = others.map { q =>
         val w = row.getOrElse(q, "")
-        val denom = valueCounts.getOrElse((q, w), 0L)
+        val denom = stats.valueCounts.getOrElse((q, w), 0L)
         if (denom == 0L) 0.0
-        else coCounts.getOrElse((attr, v, q, w), 0L).toDouble / denom
+        else stats.coCounts.getOrElse((attr, v, q, w), 0L).toDouble / denom
       }
       fs.sum / fs.size
     }
@@ -99,14 +95,20 @@ final class FeatureModel(
   private val SemScale = 0.25
 
   /** The unified representation Feat(D[i,j]) = f_base ⊕ correlated f_base. */
-  def finalVec(attr: String, row: Map[String, String]): Array[Double] = {
+  def finalVec(attr: String, row: Map[String, String]): Array[Double] =
+    assemble(attr, baseVec(_, row))
+
+  /** Feat of every cell of one tuple, in `attrs` order; f_base once per attribute. */
+  def tupleVecs(row: Map[String, String]): Seq[Array[Double]] = {
+    val bases = attrs.map(a => a -> baseVec(a, row)).toMap
+    attrs.map(assemble(_, bases))
+  }
+
+  private def assemble(attr: String, base: String => Array[Double]): Array[Double] = {
     val out = new Array[Double](totalDim)
-    System.arraycopy(baseVec(attr, row), 0, out, 0, baseDim)
-    if (corrBlocks > 0) {
-      val others = corr.getOrElse(attr, Seq.empty).take(corrBlocks)
-      others.zipWithIndex.foreach { case (q, b) =>
-        System.arraycopy(baseVec(q, row), 0, out, baseDim * (1 + b), baseDim)
-      }
+    System.arraycopy(base(attr), 0, out, 0, baseDim)
+    corr.getOrElse(attr, Seq.empty).take(corrBlocks).zipWithIndex.foreach { case (q, b) =>
+      System.arraycopy(base(q), 0, out, baseDim * (1 + b), baseDim)
     }
     out
   }
@@ -122,24 +124,13 @@ object FeatureModel {
     */
   def fit(spark: SparkSession, ds: EDataset, corr: Map[String, Seq[String]],
           profile: LLMProfile, meter: TokenMeter, opts: FeatureOpts): FeatureModel = {
-    import spark.implicits._
     val attrs = ds.attrs
-    val CellStats(n, valueCounts, patCounts) = CellTable.stats(ds.dirty, attrs)
-
     // Co-occurrence counts only for the (attr, correlated attr) pairs the
     // vicinity feature reads.
     val pairs: Seq[(String, String)] =
       if (!opts.useCorr) Seq.empty
       else corr.toSeq.flatMap { case (a, qs) => qs.take(opts.corrK).map(a -> _) }
-    val coCounts: Map[(String, String, String, String), Long] =
-      if (pairs.isEmpty) Map.empty
-      else pairs.map { case (a, q) =>
-        ds.dirty.select(lit(a).as("attr"), col(a).as("value"),
-                        lit(q).as("other"), col(q).as("otherValue"))
-      }.reduce(_.unionAll(_))
-        .groupBy("attr", "value", "other", "otherValue").count()
-        .as[(String, String, String, String, Long)].collect()
-        .map { case (a, v, q, w, c) => (a, v, q, w) -> c }.toMap
+    val stats @ CellStats(n, valueCounts, patCounts, _) = CellTable.stats(ds.dirty, attrs, pairs)
 
     // Distribution analysis (the executed "analysis functions" of Fig. 5).
     val dists = attrs.map { a =>
@@ -157,7 +148,7 @@ object FeatureModel {
     }.toMap
 
     // Criteria reasoning from a deterministic random tuple sample.
-    val sampleRows = sampleTuples(ds, CriteriaSampleSize)
+    val sampleRows = sampleTuples(ds, n, CriteriaSampleSize)
     val criteria: Map[String, Seq[Criterion]] =
       if (!opts.useCriteria) Map.empty
       else attrs.map { a =>
@@ -166,13 +157,11 @@ object FeatureModel {
                                    corr.getOrElse(a, Seq.empty).take(opts.corrK))
       }.toMap
 
-    new FeatureModel(ds.name, attrs, corr, valueCounts, patCounts, coCounts,
-                     criteria, dists, n, opts)
+    new FeatureModel(ds.name, attrs, corr, stats, criteria, dists, opts)
   }
 
-  /** Deterministic random sample of tuples as attr→value maps. */
-  def sampleTuples(ds: EDataset, size: Int): Seq[Map[String, String]] = {
-    val n = ds.dirty.count()
+  /** Deterministic random sample of the `n` tuples of `ds`, as attr→value maps. */
+  def sampleTuples(ds: EDataset, n: Long, size: Int): Seq[Map[String, String]] = {
     val frac = math.min(1.0, size * 3.0 / math.max(1L, n))
     val dsName = ds.name
     val keep = udf((tid: Long) => Rng.bool(frac, dsName, "critSample", tid))
@@ -180,20 +169,20 @@ object FeatureModel {
     rows.toSeq.map(r => ds.attrs.map(a => a -> r.getAs[String](a)).toMap)
   }
 
-  /** Featurize every cell: (tid, attr, value, features) with the unified
-    * vector built by a UDF over the broadcast model.
+  /** Featurize every cell: (tid, attr, value, features), with one UDF call
+    * over the broadcast model per tuple, exploded to one row per cell.
     */
   def transform(spark: SparkSession, ds: EDataset, model: FeatureModel): DataFrame = {
-    val bc: Broadcast[FeatureModel] = spark.sparkContext.broadcast(model)
-    val attrs = ds.attrs
-    val featUdf = udf { (attr: String, vals: Seq[String]) =>
-      val row = attrs.zip(vals).toMap
-      Vectors.dense(bc.value.finalVec(attr, row)): Vector
+    val bc = spark.sparkContext.broadcast(model)
+    val attrs = model.attrs
+    val featUdf = udf { (vals: Seq[String]) =>
+      bc.value.tupleVecs(attrs.zip(vals).toMap).map(v => Vectors.dense(v): Vector)
     }
     val allVals = array(attrs.map(col): _*)
-    attrs.map { a =>
-      ds.dirty.select(col("tid"), lit(a).as("attr"), col(a).as("value"),
-                      featUdf(lit(a), allVals).as("features"))
-    }.reduce(_.unionAll(_))
+    ds.dirty
+      .select(col("tid"), allVals.as("vals"), featUdf(allVals).as("feats"))
+      .select(col("tid"), col("vals"), posexplode(col("feats")).as(Seq("pos", "features")))
+      .select(col("tid"), element_at(lit(attrs.toArray), col("pos") + 1).as("attr"),
+              element_at(col("vals"), col("pos") + 1).as("value"), col("features"))
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.ml.linalg.DenseVector
+import org.apache.spark.sql.catalyst.plans.logical.Union
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
 import repro.data.CellTable
@@ -36,7 +37,7 @@ class FeaturesSpec extends SparkSpec {
       "cells" -> cells)
     // and the model's map is exactly that aggregation
     val fromDf = vc.collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
-    assert(model.valueCounts == fromDf)
+    assert(model.stats.valueCounts == fromDf)
   }
 
   test("CellTable.stats equals the per-level Spark aggregation") {
@@ -53,10 +54,21 @@ class FeaturesSpec extends SparkSpec {
       .groupBy("attr", "lvl", "pat").count()
       .as[(String, Int, String, Long)].collect()
       .map { case (a, l, p, c) => (a, l, p) -> c }.toMap
-    val stats = CellTable.stats(ds.dirty, ds.attrs)
+    val pairs = corr.toSeq.flatMap { case (a, qs) => qs.map(a -> _) }
+    val coReference = pairs.map { case (a, q) =>
+        ds.dirty.select(lit(a).as("attr"), col(a).as("value"),
+                        lit(q).as("other"), col(q).as("otherValue"))
+      }.reduce(_.unionAll(_))
+      .groupBy("attr", "value", "other", "otherValue").count()
+      .as[(String, String, String, String, Long)].collect()
+      .map { case (a, v, q, w, c) => (a, v, q, w) -> c }.toMap
+    val stats = CellTable.stats(ds.dirty, ds.attrs, pairs)
     assert(stats.patCounts == reference)
-    assert(stats.valueCounts == model.valueCounts)
+    assert(stats.valueCounts == model.stats.valueCounts)
     assert(stats.n == ds.dirty.count())
+    assert(pairs.nonEmpty && stats.coCounts == coReference)
+    assert(model.stats == stats)
+    assert(CellTable.stats(ds.dirty, ds.attrs).coCounts.isEmpty)
   }
 
   test("pattern frequency reflects the dominant format") {
@@ -66,7 +78,7 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("pattern counts cover all three levels") {
-    assert(Seq(1, 2, 3).forall(l => model.patCounts.keys.exists(_._2 == l)))
+    assert(Seq(1, 2, 3).forall(l => model.stats.patCounts.keys.exists(_._2 == l)))
   }
 
   test("vicinity frequency is high for consistent FD pairs") {
@@ -90,17 +102,16 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("criteria disabled yields an all-zero criteria block") {
-    val m2 = new FeatureModel(model.dsName, model.attrs, model.corr,
-      model.valueCounts, model.patCounts, model.coCounts, model.criteria,
-      model.dists, model.n, FeatureOpts(useCriteria = false))
+    val m2 = new FeatureModel(model.dsName, model.attrs, model.corr, model.stats,
+      model.criteria, model.dists, FeatureOpts(useCriteria = false))
     assert(m2.criteriaVec("zip", "12345", Map.empty).forall(_ == 0.0))
   }
 
   test("useCorr=false removes the correlated blocks") {
     val m2 = new FeatureModel(model.dsName, model.attrs,
       model.attrs.map(_ -> Seq.empty[String]).toMap,
-      model.valueCounts, model.patCounts, Map.empty, model.criteria,
-      model.dists, model.n, FeatureOpts(useCorr = false))
+      model.stats.copy(coCounts = Map.empty), model.criteria,
+      model.dists, FeatureOpts(useCorr = false))
     assert(m2.totalDim == m2.baseDim)
     assert(m2.vicinityFreq("zip", "12345", Map.empty) == 0.0)
   }
@@ -116,6 +127,7 @@ class FeaturesSpec extends SparkSpec {
 
   test("transform produces one featurized row per cell") {
     val cellsF = FeatureModel.transform(spark, ds, model)
+    assert(cellsF.queryExecution.optimizedPlan.collect { case u: Union => u }.isEmpty)
     assert(cellsF.count() == ds.dirty.count() * ds.attrs.size)
     val v = cellsF.where(col("attr") === "city" && col("tid") === 0L)
       .select("features").collect()(0).getAs[DenseVector](0)
@@ -123,12 +135,23 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("transform agrees with driver-side finalVec") {
-    val cellsF = FeatureModel.transform(spark, ds, model)
-    val got = cellsF.where(col("attr") === "state" && col("tid") === 5L)
-      .select("features").collect()(0).getAs[DenseVector](0).toArray
-    val row = ds.dirty.where(col("tid") === 5L).collect()(0)
-    val rowMap = ds.attrs.map(a => a -> row.getAs[String](a)).toMap
-    assert(got.toSeq == model.finalVec("state", rowMap).toSeq)
+    val rows = ds.dirty.collect().map { r =>
+      r.getAs[Long]("tid") -> ds.attrs.map(a => a -> r.getAs[String](a)).toMap
+    }.toMap
+    val noCorr = FeatureModel.fit(spark, ds, ds.attrs.map(_ -> Seq.empty[String]).toMap,
+      ModelProfiles.qwen72b, TokenMeter.local(), FeatureOpts(useCorr = false))
+    Seq(model, noCorr).foreach { m =>
+      val cellsF = FeatureModel.transform(spark, ds, m).collect()
+      assert(cellsF.length == rows.size * ds.attrs.size)
+      val keys = cellsF.map(r => (r.getAs[Long]("tid"), r.getAs[String]("attr")))
+      assert(keys.toSet == rows.keySet.flatMap(t => ds.attrs.map(t -> _)))
+      cellsF.foreach { r =>
+        val (tid, attr) = (r.getAs[Long]("tid"), r.getAs[String]("attr"))
+        assert(r.getAs[String]("value") == rows(tid)(attr))
+        assert(r.getAs[DenseVector]("features").toArray.toSeq ==
+               m.finalVec(attr, rows(tid)).toSeq, s"($tid, $attr)")
+      }
+    }
   }
 
   test("distribution analysis exposes top values and rare counts") {
@@ -146,13 +169,14 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("sampleTuples returns full attr maps") {
-    val s = FeatureModel.sampleTuples(ds, 10)
+    val s = FeatureModel.sampleTuples(ds, model.stats.n, 10)
     assert(s.nonEmpty && s.size <= 10)
     s.foreach(m => assert(m.keySet == ds.attrs.toSet))
   }
 
   test("sampleTuples does not depend on partitioning") {
     val repartitioned = ds.copy(dirty = ds.dirty.repartition(7))
-    assert(FeatureModel.sampleTuples(repartitioned, 10) == FeatureModel.sampleTuples(ds, 10))
+    val n = model.stats.n
+    assert(FeatureModel.sampleTuples(repartitioned, n, 10) == FeatureModel.sampleTuples(ds, n, 10))
   }
 }

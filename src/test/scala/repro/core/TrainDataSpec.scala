@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.CellStats
 import repro.llm.{AttrDist, ModelProfiles, NotEmpty}
 import repro.util.TokenMeter
 
@@ -9,11 +10,11 @@ class TrainDataSpec extends AnyFunSuite {
   private val attrs = Vector("a", "b")
   private val model = new FeatureModel(
     "t", attrs, Map("a" -> Seq("b"), "b" -> Seq("a")),
-    valueCounts = Map(("a", "10") -> 5L),
-    patCounts = Map.empty, coCounts = Map.empty,
+    CellStats(n = 10L, valueCounts = Map(("a", "10") -> 5L),
+              patCounts = Map.empty, coCounts = Map.empty),
     criteria = Map("a" -> Seq(NotEmpty())),
     dists = attrs.map(a => a -> AttrDist(a, 10, Seq.empty, Seq.empty, None, 0)).toMap,
-    n = 10L, opts = FeatureOpts(corrK = 1))
+    opts = FeatureOpts(corrK = 1))
 
   private def cells(values: Seq[String]) = Labeling.AttrCells(
     "a", values.indices.map(_.toLong).toArray, values.toArray,
